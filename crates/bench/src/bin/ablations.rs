@@ -90,6 +90,9 @@ fn inversion_ablation() {
             let t0 = Instant::now();
             for _ in 0..3 {
                 kfac.update_layer(0, &stats);
+                // Refreshes are deferred to first use: decompose now so
+                // the timing covers the real refresh cost.
+                assert!(kfac.materialize_inverse(0), "refresh left no inverse due");
             }
             t0.elapsed().as_secs_f64() / 3.0 * 1e3
         };

@@ -4,11 +4,15 @@
 //! stochastic-compression RNG stream, its degradation-ladder last-good
 //! store — plus the K-FAC factor states of the layers it *owns* under
 //! the KAISA schedule. Factor state is replicated across ranks (every
-//! rank folds the all-reduced covariances and refreshes inverses for
-//! every layer), so sharding the save by owner writes each factor to
-//! disk exactly once; at restore the shards are redistributed with one
-//! variable-size all-gather and every rank reconstructs the full
-//! replicated state. Rank 0 additionally carries the globals: model
+//! rank folds the all-reduced covariances for every layer), so sharding
+//! the save by owner writes each factor to disk exactly once; at restore
+//! the shards are redistributed with one variable-size all-gather and
+//! every rank reconstructs the full replicated state. Inverses are
+//! computed owner-only and a non-owner holds a layer's inverse as *due*;
+//! [`Kfac::export_layer_state`](crate::kfac::Kfac::export_layer_state)
+//! computes a due inverse on export, so a snapshot or rejoin delta always
+//! carries the inverse the eager refresh would have cached, whichever
+//! rank writes it. Rank 0 additionally carries the globals: model
 //! parameters, the ownership map, the step counter, and any caller
 //! extras (optimizer moment buffers), broadcast to everyone at restore.
 //!

@@ -15,10 +15,14 @@
 //!    buffer and one `allreduce_mean` moves the whole bucket (one
 //!    collective per step instead of two per K-FAC layer), then the
 //!    averaged factors are folded into running averages (identical on
-//!    every rank);
+//!    every rank). On a refresh step every rank only marks each layer's
+//!    inverse due — no decomposition runs in `kfac/step/factor`;
 //! 4. the *owner* of each layer (greedy cost-balanced assignment, as in
-//!    KAISA) refreshes eigendecompositions on schedule and preconditions
-//!    the layer's gradient;
+//!    KAISA) computes the due eigendecomposition (or Cholesky pair) and
+//!    preconditions the layer's gradient, all inside
+//!    `kfac/step/inverse`. At N ranks each rank decomposes only its
+//!    [`assign_layers`] share; a non-owner never decomposes a layer it
+//!    does not precondition (`kfac/inverse/layers` counts the work);
 //! 5. **pipelined** ring all-gather of the preconditioned gradients.
 //!    This is the traffic COMPSO compresses: owners compress their
 //!    layers' preconditioned gradients (aggregating up to `aggregation`
@@ -67,6 +71,12 @@
 //! traffic that will never come). All ladder activity is counted into the
 //! recorder (`kfac/degrade/*`) so the chaos suite can reconcile observed
 //! degradations against the fault plane's injection ledger exactly.
+//!
+//! A non-finite value in the all-reduced gradient or factor bucket fails
+//! the step with [`CommError::Protocol`]. Both buckets are bit-identical
+//! on every rank after their collective, so every rank fails at the same
+//! step before the next collective, and the error names no culprit —
+//! [`DistKfac::step_elastic`] propagates it instead of shrinking.
 
 use crate::kfac::{covariance, Kfac, KfacConfig};
 use compso_comm::collectives::{
@@ -295,6 +305,7 @@ impl DistKfac {
             {
                 let _bucket = self.recorder.span(names::KFAC_BUCKET);
                 let mut offset = 0usize;
+                let mut finite = true;
                 for &idx in &trainable {
                     let grad = model
                         .layer_mut(idx)
@@ -303,11 +314,15 @@ impl DistKfac {
                             expected: "trainable layer with a mutable gradient",
                         })?;
                     let n = grad.len();
-                    grad.as_mut_slice()
-                        .copy_from_slice(&self.fusion[offset..offset + n]);
+                    finite &= copy_finite(grad.as_mut_slice(), &self.fusion[offset..offset + n]);
                     offset += n;
                 }
                 debug_assert_eq!(offset, self.fusion.len());
+                if !finite {
+                    return Err(CommError::Protocol {
+                        expected: "finite all-reduced gradients",
+                    });
+                }
             }
         }
 
@@ -336,21 +351,26 @@ impl DistKfac {
             self.recorder
                 .add(names::KFAC_FACTOR_FUSED_BYTES, fused_bytes);
             allreduce_mean(comm, &mut self.fusion)?;
+            // Scatter (and scan) the whole bucket before folding any of
+            // it, so a non-finite factor leaves the running state alone.
             let mut off = 0usize;
-            for (idx, mut a_cov, mut g_cov) in covs {
-                let n = a_cov.len();
-                a_cov
-                    .as_mut_slice()
-                    .copy_from_slice(&self.fusion[off..off + n]);
-                off += n;
-                let n = g_cov.len();
-                g_cov
-                    .as_mut_slice()
-                    .copy_from_slice(&self.fusion[off..off + n]);
-                off += n;
-                self.kfac.absorb_covariances(idx, &a_cov, &g_cov);
+            let mut finite = true;
+            for (_, a_cov, g_cov) in &mut covs {
+                for cov in [a_cov, g_cov] {
+                    let n = cov.len();
+                    finite &= copy_finite(cov.as_mut_slice(), &self.fusion[off..off + n]);
+                    off += n;
+                }
             }
             debug_assert_eq!(off, self.fusion.len());
+            if !finite {
+                return Err(CommError::Protocol {
+                    expected: "finite all-reduced factors",
+                });
+            }
+            for (idx, a_cov, g_cov) in &covs {
+                self.kfac.absorb_covariances(*idx, a_cov, g_cov);
+            }
         }
 
         // (4) Ownership map: built once (layer shapes are static).
@@ -373,7 +393,9 @@ impl DistKfac {
         };
 
         // Precondition owned layers (the eigendecomposition / inverse
-        // application phase of Fig. 1).
+        // application phase of Fig. 1). Only the owner computes a due
+        // inverse — on a refresh step, or for a layer it inherited by
+        // reshard since the last one.
         let me = comm.rank();
         let mut owned: Vec<(usize, Matrix)> = Vec::new();
         {
@@ -387,6 +409,9 @@ impl DistKfac {
                             expected: "owned kfac layer with a gradient",
                         })?
                         .clone();
+                    if self.kfac.materialize_inverse(idx) {
+                        self.recorder.incr(names::KFAC_INVERSE_LAYERS);
+                    }
                     let pre = self.kfac.precondition_layer(idx, &grad);
                     owned.push((idx, pre));
                 }
@@ -816,6 +841,17 @@ pub struct DistKfacState {
     /// The ladder's last-good preconditioned gradients, sorted by layer
     /// index.
     pub last_good: Vec<(usize, Matrix)>,
+}
+
+/// Copies an all-reduced slice into place and reports whether every
+/// value was finite: the scan rides the scatter's single pass.
+fn copy_finite(dst: &mut [f32], src: &[f32]) -> bool {
+    let mut finite = true;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = s;
+        finite &= s.is_finite();
+    }
+    finite
 }
 
 /// Convenience: the no-compression baseline compressor.
@@ -1644,6 +1680,168 @@ mod tests {
                     "rank {r}/{ranks} params differ between pipelined and serial gather"
                 );
             }
+        }
+    }
+
+    /// A rank's `(virtual rank, ownership map)` at some step.
+    type View = (usize, Vec<usize>);
+
+    /// One K-FAC run of `calls` elastic steps on the 3-K-FAC-layer MLP
+    /// with a refresh every third step and a per-rank recorder. Returns
+    /// the rank's `kfac/inverse/layers` count after every call, plus its
+    /// view after the first and the last call.
+    fn count_inverses(
+        comm: &mut Communicator,
+        calls: usize,
+        d: &data::Dataset,
+        ranks: usize,
+    ) -> (Vec<u64>, View, View) {
+        use compso_obs::{names, Recorder};
+        let mut rng = Rng::new(102);
+        let mut model = models::mlp(&[6, 16, 16, 3], &mut rng);
+        let shard = d.shard(comm.phys_rank(), ranks);
+        let config = DistKfacConfig {
+            kfac: KfacConfig {
+                eigen_refresh: 3,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut opt = DistKfac::new(config, 7);
+        let rec = Recorder::enabled();
+        opt.set_recorder(rec.clone());
+        let compso = compso_core::ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+        let mut counts = Vec::with_capacity(calls);
+        let mut first = None;
+        for call in 0..calls {
+            let (x, y) = shard.batch(call, 8);
+            let logits = model.forward(&x, true);
+            let (_, grad) = softmax_cross_entropy(&logits, &y);
+            model.backward(&grad);
+            opt.step_elastic(comm, &mut model, &compso).unwrap();
+            model.update_params(|p, g| p.axpy(-0.02, g));
+            counts.push(rec.snapshot().counter(names::KFAC_INVERSE_LAYERS));
+            if first.is_none() {
+                first = Some((comm.rank(), opt.owners().unwrap().to_vec()));
+            }
+        }
+        let last = (comm.rank(), opt.owners().unwrap().to_vec());
+        (counts, first.unwrap(), last)
+    }
+
+    /// Owner-only refresh: over two refresh intervals each rank computes
+    /// exactly its owned layers' inverses once per refresh, and the group
+    /// computes every K-FAC layer's inverse exactly once per refresh.
+    #[test]
+    fn each_rank_inverts_only_its_owned_layers() {
+        let d = data::gaussian_blobs(240, 6, 3, 0.3, 101);
+        let (layers, refreshes) = (3u64, 2u64);
+        for &ranks in &[1usize, 2, 4] {
+            let d = d.clone();
+            let results = run_ranks(ranks, move |comm| count_inverses(comm, 6, &d, ranks));
+            let mut total = 0;
+            for (r, (counts, _, (me, owners))) in results.iter().enumerate() {
+                let owned = owners.iter().filter(|&&o| o == *me).count() as u64;
+                let count = *counts.last().unwrap();
+                assert_eq!(count, owned * refreshes, "rank {r}/{ranks}");
+                total += count;
+            }
+            assert_eq!(total, layers * refreshes, "{ranks} ranks");
+        }
+    }
+
+    /// A mid-interval elastic shrink hands the crashed rank's layers to
+    /// survivors while their inverses are still due: each survivor
+    /// computes exactly the layers it newly owns at the reshard step, and
+    /// nothing more until the next refresh.
+    #[test]
+    fn reshard_inherits_due_inverses_exactly_once() {
+        use compso_comm::{run_ranks_elastic, CommConfig, FaultConfig, FaultPlane};
+        use std::time::Duration;
+        const RANKS: usize = 3;
+        // Refreshes at calls 0 and 3; rank 2 crashes at the top of call 4.
+        const CRASH: usize = 4;
+        let plane = FaultPlane::new(FaultConfig {
+            seed: 0xD0E,
+            crash_at: Some((2, CRASH as u64)),
+            ..FaultConfig::default()
+        });
+        let config = CommConfig {
+            recv_timeout: Duration::from_secs(10),
+            retry_initial: Duration::from_millis(40),
+            max_retries: 10,
+            modeled_wire_mbps: None,
+        };
+        let d = data::gaussian_blobs(240, 6, 3, 0.3, 103);
+        let d_ref = &d;
+        let results = run_ranks_elastic(RANKS, plane, config, move |comm, revived| {
+            (!revived).then(|| count_inverses(comm, CRASH + 2, d_ref, RANKS))
+        });
+        let owned_by = |owners: &[usize], me: usize| -> Vec<usize> {
+            (0..owners.len()).filter(|&p| owners[p] == me).collect()
+        };
+        let mut inherited = 0;
+        for (r, slot) in results.iter().enumerate().take(2) {
+            let (counts, (old_me, old), (new_me, new)) = slot
+                .as_ref()
+                .and_then(|s| s.as_ref())
+                .unwrap_or_else(|| panic!("survivor {r} did not finish"));
+            let (old_owned, new_owned) = (owned_by(old, *old_me), owned_by(new, *new_me));
+            let gained = new_owned.iter().filter(|p| !old_owned.contains(p)).count() as u64;
+            assert_eq!(counts[CRASH - 1], old_owned.len() as u64 * 2, "rank {r}");
+            assert_eq!(
+                counts[CRASH] - counts[CRASH - 1],
+                gained,
+                "rank {r} reshard"
+            );
+            assert_eq!(counts[CRASH + 1], counts[CRASH], "rank {r} after reshard");
+            inherited += gained;
+        }
+        let (_, (_, old), _) = results[0].as_ref().and_then(|s| s.as_ref()).unwrap();
+        let crashed_owned = owned_by(old, 2).len() as u64;
+        assert!(crashed_owned > 0, "the crashed rank owned nothing");
+        assert!(
+            inherited >= crashed_owned,
+            "survivors inherited {inherited} of the crashed rank's {crashed_owned} layers"
+        );
+    }
+
+    /// A NaN in one rank's gradient must fail the step on every rank at
+    /// the same step with an error that blames nobody — no panicking
+    /// rank thread, no hang, no elastic shrink.
+    #[test]
+    fn non_finite_gradient_fails_the_step_on_every_rank() {
+        let ranks = 2;
+        let d = data::gaussian_blobs(160, 6, 3, 0.3, 105);
+        let results = run_ranks(ranks, |comm| {
+            let mut rng = Rng::new(106);
+            let mut model = models::mlp(&[6, 16, 3], &mut rng);
+            let shard = d.shard(comm.rank(), ranks);
+            let mut opt = DistKfac::new(DistKfacConfig::default(), 7);
+            let compso = compso_core::ChunkedCompso::new(CompsoConfig::aggressive(4e-3));
+            for step in 0..4 {
+                let (x, y) = shard.batch(step, 8);
+                let logits = model.forward(&x, true);
+                let (_, grad) = softmax_cross_entropy(&logits, &y);
+                model.backward(&grad);
+                if step == 2 && comm.rank() == 1 {
+                    model.layer_mut(0).grads_mut().unwrap().as_mut_slice()[0] = f32::NAN;
+                }
+                if let Err(e) = opt.step_elastic(comm, &mut model, &compso) {
+                    return Some((step, e, comm.size()));
+                }
+                model.update_params(|p, g| p.axpy(-0.02, g));
+            }
+            None
+        });
+        for (r, res) in results.iter().enumerate() {
+            let (step, e, size) = res
+                .as_ref()
+                .unwrap_or_else(|| panic!("rank {r}: NaN step did not fail"));
+            assert_eq!(*step, 2, "rank {r}");
+            assert!(matches!(e, CommError::Protocol { .. }), "rank {r}: {e:?}");
+            assert_eq!(e.culprit(), None, "rank {r}");
+            assert_eq!(*size, ranks, "rank {r}: group shrank");
         }
     }
 

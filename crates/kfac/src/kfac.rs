@@ -11,6 +11,15 @@
 //!
 //! which equals `(A ⊗ G + γI)⁻¹ vec(∇W)` reshaped — verified against the
 //! dense Kronecker form in the tests.
+//!
+//! Inverse refreshes are **deferred**: a refresh step only snapshots the
+//! running factors and marks the layer's inverse *due*; the
+//! eigendecomposition (or Cholesky factorization) runs on first use, in
+//! [`Kfac::precondition_layer`] / [`Kfac::materialize_inverse`]. In the
+//! distributed step only a layer's owner preconditions it, so each rank
+//! decomposes just its share of the layers, inside `kfac/step/inverse`.
+//! The decomposition is a deterministic function of the snapshotted
+//! factors, so deferring it moves no bit of any trajectory.
 
 use compso_dnn::{KfacStats, Sequential};
 use compso_tensor::{sym_eig, Cholesky, EigenDecomposition, Matrix};
@@ -56,14 +65,53 @@ impl Default for KfacConfig {
     }
 }
 
+/// One layer's cached factor inverse. A single enum, so a half-refreshed
+/// pair (one factor decomposed, the other not) cannot be represented.
+pub(crate) enum Inverse {
+    /// No usable inverse: before the first refresh, or a damped factor
+    /// that was not positive definite. Preconditioning is the identity.
+    None,
+    /// A refresh fired and the inverse of these refresh-time factors is
+    /// owed; it is computed on first use (see [`Kfac::materialize_inverse`]).
+    Due { a: Matrix, g: Matrix },
+    /// Eigendecompositions of both factors ([`InversionMethod::Eigen`]).
+    Eigen {
+        a: EigenDecomposition,
+        g: EigenDecomposition,
+    },
+    /// Damped Cholesky factors of both factors ([`InversionMethod::Implicit`]).
+    Cholesky { a: Cholesky, g: Cholesky },
+}
+
+impl Inverse {
+    /// Inverts a refresh-time factor pair by `config.inversion`.
+    fn compute(config: &KfacConfig, a: &Matrix, g: &Matrix) -> Inverse {
+        match config.inversion {
+            InversionMethod::Eigen => Inverse::Eigen {
+                a: sym_eig(a),
+                g: sym_eig(g),
+            },
+            InversionMethod::Implicit => {
+                let pi = pi_factor(a, g);
+                let sqrt_gamma = config.damping.sqrt();
+                let mut a = a.clone();
+                a.add_diag(pi * sqrt_gamma);
+                let mut g = g.clone();
+                g.add_diag(sqrt_gamma / pi);
+                match (Cholesky::new(&a), Cholesky::new(&g)) {
+                    (Ok(a), Ok(g)) => Inverse::Cholesky { a, g },
+                    _ => Inverse::None,
+                }
+            }
+        }
+    }
+}
+
 /// Per-layer factor state.
 pub(crate) struct LayerState {
     pub a_factor: Matrix,
     pub g_factor: Matrix,
-    pub eig_a: Option<EigenDecomposition>,
-    pub eig_g: Option<EigenDecomposition>,
-    pub chol_a: Option<Cholesky>,
-    pub chol_g: Option<Cholesky>,
+    pub inverse: Inverse,
     pub steps: usize,
 }
 
@@ -72,10 +120,7 @@ impl LayerState {
         LayerState {
             a_factor: Matrix::zeros(a_dim, a_dim),
             g_factor: Matrix::zeros(g_dim, g_dim),
-            eig_a: None,
-            eig_g: None,
-            chol_a: None,
-            chol_g: None,
+            inverse: Inverse::None,
             steps: 0,
         }
     }
@@ -168,17 +213,18 @@ impl Kfac {
     }
 
     /// Updates factor statistics from one layer's captured `(a, g)` and
-    /// refreshes its eigendecomposition on schedule. Returns whether the
-    /// eigendecomposition is ready for preconditioning.
-    pub fn update_layer(&mut self, idx: usize, stats: &KfacStats) -> bool {
+    /// marks its inverse due on schedule.
+    pub fn update_layer(&mut self, idx: usize, stats: &KfacStats) {
         let a_cov = covariance(&stats.a);
         let g_cov = covariance(&stats.g);
-        self.absorb_covariances(idx, &a_cov, &g_cov)
+        self.absorb_covariances(idx, &a_cov, &g_cov);
     }
 
     /// Like [`Kfac::update_layer`] but takes precomputed (possibly
-    /// all-reduced) covariances — the distributed path.
-    pub fn absorb_covariances(&mut self, idx: usize, a_cov: &Matrix, g_cov: &Matrix) -> bool {
+    /// all-reduced) covariances — the distributed path. A refresh step
+    /// snapshots the updated factors and marks the inverse due; no
+    /// decomposition runs here (see [`Kfac::materialize_inverse`]).
+    pub fn absorb_covariances(&mut self, idx: usize, a_cov: &Matrix, g_cov: &Matrix) {
         let state = self
             .states
             .entry(idx)
@@ -189,40 +235,34 @@ impl Kfac {
         ema_fold(&mut state.g_factor, g_cov, decay, steps);
         state.steps += 1;
         if (state.steps - 1).is_multiple_of(self.config.eigen_refresh) {
-            match self.config.inversion {
-                InversionMethod::Eigen => {
-                    state.eig_a = Some(sym_eig(&state.a_factor));
-                    state.eig_g = Some(sym_eig(&state.g_factor));
-                }
-                InversionMethod::Implicit => {
-                    let pi = pi_factor(&state.a_factor, &state.g_factor);
-                    let sqrt_gamma = self.config.damping.sqrt();
-                    let mut a = state.a_factor.clone();
-                    a.add_diag(pi * sqrt_gamma);
-                    let mut g = state.g_factor.clone();
-                    g.add_diag(sqrt_gamma / pi);
-                    state.chol_a = Cholesky::new(&a).ok();
-                    state.chol_g = Cholesky::new(&g).ok();
-                }
-            }
+            state.inverse = Inverse::Due {
+                a: state.a_factor.clone(),
+                g: state.g_factor.clone(),
+            };
         }
-        state.eig_a.is_some() || state.chol_a.is_some()
     }
 
-    /// Preconditions one layer's gradient (Eq. 2); identity when the
-    /// layer has no eigendecomposition yet.
-    pub fn precondition_layer(&self, idx: usize, grad: &Matrix) -> Matrix {
-        match self.states.get(&idx) {
-            Some(LayerState {
-                eig_a: Some(ea),
-                eig_g: Some(eg),
-                ..
-            }) => precondition(grad, ea, eg, self.config.damping),
-            Some(LayerState {
-                chol_a: Some(ca),
-                chol_g: Some(cg),
-                ..
-            }) => precondition_implicit(grad, ca, cg),
+    /// Computes layer `idx`'s inverse if a refresh left it due, from the
+    /// factors snapshotted at that refresh — bit-equal to decomposing
+    /// eagerly at the refresh step. Returns whether a decomposition ran.
+    pub fn materialize_inverse(&mut self, idx: usize) -> bool {
+        let Some(state) = self.states.get_mut(&idx) else {
+            return false;
+        };
+        let Inverse::Due { a, g } = &state.inverse else {
+            return false;
+        };
+        state.inverse = Inverse::compute(&self.config, a, g);
+        true
+    }
+
+    /// Preconditions one layer's gradient (Eq. 2), first computing its
+    /// inverse if one is due; identity when the layer has no inverse yet.
+    pub fn precondition_layer(&mut self, idx: usize, grad: &Matrix) -> Matrix {
+        self.materialize_inverse(idx);
+        match self.states.get(&idx).map(|s| &s.inverse) {
+            Some(Inverse::Eigen { a, g }) => precondition(grad, a, g, self.config.damping),
+            Some(Inverse::Cholesky { a, g }) => precondition_implicit(grad, a, g),
             _ => grad.clone(),
         }
     }
@@ -260,31 +300,53 @@ impl Kfac {
     /// with the factors: they are refreshed only every
     /// [`KfacConfig::eigen_refresh`] steps, so recomputing them at restore
     /// time would see a newer running average and silently fork the
-    /// resumed trajectory from the uninterrupted one.
+    /// resumed trajectory from the uninterrupted one. A due inverse is
+    /// computed here from its refresh-time factors (without caching it),
+    /// so the export is the same whether or not this rank owns the layer.
     pub fn export_layer_state(&self, idx: usize) -> Option<LayerStateExport> {
-        self.states.get(&idx).map(|s| LayerStateExport {
-            a_factor: s.a_factor.clone(),
-            g_factor: s.g_factor.clone(),
-            eig_a: s.eig_a.clone(),
-            eig_g: s.eig_g.clone(),
-            chol_a: s.chol_a.clone(),
-            chol_g: s.chol_g.clone(),
-            steps: s.steps,
+        self.states.get(&idx).map(|s| {
+            let due;
+            let inverse = match &s.inverse {
+                Inverse::Due { a, g } => {
+                    due = Inverse::compute(&self.config, a, g);
+                    &due
+                }
+                ready => ready,
+            };
+            let (eig_a, eig_g, chol_a, chol_g) = match inverse {
+                Inverse::Eigen { a, g } => (Some(a.clone()), Some(g.clone()), None, None),
+                Inverse::Cholesky { a, g } => (None, None, Some(a.clone()), Some(g.clone())),
+                Inverse::None | Inverse::Due { .. } => (None, None, None, None),
+            };
+            LayerStateExport {
+                a_factor: s.a_factor.clone(),
+                g_factor: s.g_factor.clone(),
+                eig_a,
+                eig_g,
+                chol_a,
+                chol_g,
+                steps: s.steps,
+            }
         })
     }
 
     /// Installs a layer's factor state from a checkpoint, replacing any
     /// existing state for `idx`. Inverse of [`Kfac::export_layer_state`].
+    /// A pair with only one half present (one damped factor failed its
+    /// Cholesky in an older snapshot) preconditions as the identity,
+    /// exactly as it did when it was saved.
     pub fn import_layer_state(&mut self, idx: usize, state: LayerStateExport) {
+        let inverse = match (state.eig_a, state.eig_g, state.chol_a, state.chol_g) {
+            (Some(a), Some(g), _, _) => Inverse::Eigen { a, g },
+            (_, _, Some(a), Some(g)) => Inverse::Cholesky { a, g },
+            _ => Inverse::None,
+        };
         self.states.insert(
             idx,
             LayerState {
                 a_factor: state.a_factor,
                 g_factor: state.g_factor,
-                eig_a: state.eig_a,
-                eig_g: state.eig_g,
-                chol_a: state.chol_a,
-                chol_g: state.chol_g,
+                inverse,
                 steps: state.steps,
             },
         );
@@ -404,7 +466,7 @@ mod tests {
 
     #[test]
     fn identity_passthrough_before_first_eigendecomposition() {
-        let kfac = Kfac::new(KfacConfig::default());
+        let mut kfac = Kfac::new(KfacConfig::default());
         let grad = Matrix::from_fn(2, 2, |r, c| (r + c) as f32);
         assert_eq!(kfac.precondition_layer(99, &grad), grad);
     }
@@ -435,6 +497,131 @@ mod tests {
         kfac.update_layer(0, &mk(&mut rng));
         let p_fresh = kfac.precondition_layer(0, &grad);
         assert!(p1.max_diff(&p_fresh) > 1e-6, "eigens never refreshed");
+    }
+
+    /// Asserts two exports carry bit-identical factors, inverses and step
+    /// counters (`to_bits`, so `-0.0` vs `0.0` would count as a change).
+    fn assert_exports_bit_equal(x: &LayerStateExport, y: &LayerStateExport) {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let eig = |e: &Option<EigenDecomposition>| {
+            e.as_ref().map(|e| {
+                let values: Vec<u32> = e.values.iter().map(|v| v.to_bits()).collect();
+                (values, bits(&e.vectors))
+            })
+        };
+        let chol = |c: &Option<Cholesky>| {
+            c.as_ref()
+                .map(|c| c.raw().1.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(&x.a_factor), bits(&y.a_factor));
+        assert_eq!(bits(&x.g_factor), bits(&y.g_factor));
+        assert_eq!(eig(&x.eig_a), eig(&y.eig_a));
+        assert_eq!(eig(&x.eig_g), eig(&y.eig_g));
+        assert_eq!(chol(&x.chol_a), chol(&y.chol_a));
+        assert_eq!(chol(&x.chol_g), chol(&y.chol_g));
+        assert_eq!(x.steps, y.steps);
+    }
+
+    /// The deferred-refresh pin, for both inversion routes: a layer
+    /// refreshed at step k, absorbed j more times, then materialized holds
+    /// the inverse an eager refresh would have computed from the step-k
+    /// factors, bit for bit; and exporting it while still due equals
+    /// exporting it after materializing.
+    #[test]
+    fn deferred_inverse_is_bit_equal_to_eager_refresh() {
+        for inversion in [InversionMethod::Eigen, InversionMethod::Implicit] {
+            let config = KfacConfig {
+                damping: 0.05,
+                eigen_refresh: 4,
+                inversion,
+                ..Default::default()
+            };
+            let mut kfac = Kfac::new(config);
+            let mut rng = Rng::new(31);
+            let mk = |rng: &mut Rng| KfacStats {
+                a: Matrix::random_normal(16, 5, rng),
+                g: Matrix::random_normal(16, 3, rng),
+            };
+            // Steps 0..=4: the second refresh (k = 4) marks the inverse due.
+            for _ in 0..5 {
+                kfac.update_layer(0, &mk(&mut rng));
+            }
+            let (a_k, g_k) = kfac
+                .factors(0)
+                .map(|(a, g)| (a.clone(), g.clone()))
+                .unwrap();
+            // Eager reference: decompose the step-k factors on the spot.
+            let (mut eig_a, mut eig_g, mut chol_a, mut chol_g) = (None, None, None, None);
+            match inversion {
+                InversionMethod::Eigen => {
+                    eig_a = Some(sym_eig(&a_k));
+                    eig_g = Some(sym_eig(&g_k));
+                }
+                InversionMethod::Implicit => {
+                    let pi = pi_factor(&a_k, &g_k);
+                    let sqrt_gamma = config.damping.sqrt();
+                    let mut a = a_k.clone();
+                    a.add_diag(pi * sqrt_gamma);
+                    let mut g = g_k.clone();
+                    g.add_diag(sqrt_gamma / pi);
+                    chol_a = Some(Cholesky::new(&a).unwrap());
+                    chol_g = Some(Cholesky::new(&g).unwrap());
+                }
+            }
+            // j = 2 more absorbs inside the interval move the factors
+            // but not the owed inverse.
+            for _ in 0..2 {
+                kfac.update_layer(0, &mk(&mut rng));
+            }
+            assert!(matches!(kfac.states[&0].inverse, Inverse::Due { .. }));
+            let while_due = kfac.export_layer_state(0).unwrap();
+            assert!(
+                matches!(kfac.states[&0].inverse, Inverse::Due { .. }),
+                "export must not cache the inverse"
+            );
+            assert!(
+                kfac.materialize_inverse(0),
+                "{inversion:?}: nothing was due"
+            );
+            assert!(
+                !kfac.materialize_inverse(0),
+                "{inversion:?}: decomposed twice"
+            );
+            let materialized = kfac.export_layer_state(0).unwrap();
+            assert_exports_bit_equal(&while_due, &materialized);
+            let eager = LayerStateExport {
+                a_factor: materialized.a_factor.clone(),
+                g_factor: materialized.g_factor.clone(),
+                eig_a,
+                eig_g,
+                chol_a,
+                chol_g,
+                steps: 7,
+            };
+            assert_exports_bit_equal(&materialized, &eager);
+        }
+    }
+
+    /// An imported half pair (one factor's inverse without the other's)
+    /// preconditions as the identity, as it did before the inverse was
+    /// a single enum.
+    #[test]
+    fn imported_half_pair_preconditions_as_identity() {
+        let mut kfac = Kfac::new(KfacConfig::default());
+        kfac.import_layer_state(
+            0,
+            LayerStateExport {
+                a_factor: Matrix::identity(3),
+                g_factor: Matrix::identity(2),
+                eig_a: Some(sym_eig(&Matrix::identity(3))),
+                eig_g: None,
+                chol_a: None,
+                chol_g: Some(Cholesky::new(&Matrix::identity(2)).unwrap()),
+                steps: 3,
+            },
+        );
+        let grad = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
+        assert_eq!(kfac.precondition_layer(0, &grad), grad);
     }
 
     /// The headline property: K-FAC reaches the accuracy target in fewer

@@ -156,7 +156,8 @@ pub const KFAC_PEER_DECODE: &str = "kfac/step/update/peer_decode";
 /// "KFAC Computations" + "Factor Allreduce").
 pub const KFAC_FACTOR: &str = "kfac/step/factor";
 /// `compso-kfac`: eigendecomposition / preconditioning of owned layers
-/// (Fig. 1 "inverse").
+/// (Fig. 1 "inverse"). Owner-only: each rank decomposes just the
+/// layers it preconditions (`kfac/inverse/layers` counts them).
 pub const KFAC_INVERSE: &str = "kfac/step/inverse";
 /// `compso-kfac`: compress + all-gather of preconditioned gradients.
 pub const KFAC_ALLGATHER: &str = "kfac/step/allgather";
@@ -177,6 +178,10 @@ pub const KFAC_FACTOR_FUSED_BYTES: &str = "kfac/factor_fused_bytes";
 /// membership epoch change (the dead rank's aggregation groups are
 /// re-owned across the survivors). Zero in a fixed-membership run.
 pub const KFAC_ELASTIC_RESHARDS: &str = "kfac/elastic/reshards";
+/// `compso-kfac`: layer inverses (eigendecomposition or Cholesky pair)
+/// this rank computed for preconditioning — its owned layers once per
+/// refresh, plus any due layer it inherits mid-interval by reshard.
+pub const KFAC_INVERSE_LAYERS: &str = "kfac/inverse/layers";
 
 /// `compso-kfac` checkpointing: whole coordinated save (encode +
 /// write + fsync + metadata all-gather + commit).
@@ -299,6 +304,7 @@ pub const ALL: &[&str] = &[
     KFAC_OVERLAP_FRAC,
     KFAC_FACTOR_FUSED_BYTES,
     KFAC_ELASTIC_RESHARDS,
+    KFAC_INVERSE_LAYERS,
     CKPT_SAVE,
     CKPT_LOAD,
     CKPT_SAVES,

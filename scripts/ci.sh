@@ -151,6 +151,33 @@ step_start "bench regression gate (bench_check.sh)"
 scripts/bench_check.sh
 step_end
 
+step_start "kfacbench: build + traced smoke of both workloads (hard 300s cap each)"
+# The end-to-end benchmark carries its own correctness gate: replica
+# fingerprints, same-seed determinism, traced vs untraced arithmetic,
+# and zero degrade/retry counters (a violation exits non-zero). A 1 s
+# traced run of each workload puts that gate in CI. Exit 3 is the
+# benchmark refusing a host with fewer cores than ranks x rayon
+# workers; that workload is reported as skipped, not failed.
+cargo build --release --offline --manifest-path kfacbench/Cargo.toml
+for workload in mlp-wire-compso tfm-free-powersgd; do
+  KFACBENCH_LOG=$(mktemp)
+  rc=0
+  timeout --kill-after=10 300 \
+    kfacbench/target/release/kfacbench --workload "$workload" --seed 1 \
+    --seconds 1 --trace 1 > "$KFACBENCH_LOG" 2>&1 || rc=$?
+  case "$rc" in
+    0) echo "kfacbench $workload: ok" ;;
+    3) echo "kfacbench $workload: SKIPPED (ranks x workers > nproc)" ;;
+    *)
+      echo "kfacbench $workload: failed (exit $rc)" >&2
+      cat "$KFACBENCH_LOG" >&2
+      exit 1
+      ;;
+  esac
+  rm -f "$KFACBENCH_LOG"
+done
+step_end
+
 echo "==> step timing summary"
 for i in "${!STEP_NAMES[@]}"; do
   printf '%4ss  %s\n' "${STEP_SECS[$i]}" "${STEP_NAMES[$i]}"
