@@ -36,7 +36,7 @@ fn bench_covariance(c: &mut Criterion) {
 fn bench_sym_eig(c: &mut Criterion) {
     let mut group = c.benchmark_group("sym-eig");
     group.sample_size(10);
-    for n in [32usize, 64, 128] {
+    for n in [32usize, 64, 128, 129, 256] {
         let mut rng = Rng::new(3);
         let b = Matrix::random_normal(n, n, &mut rng);
         let mut spd = b.t_matmul(&b);

@@ -31,6 +31,10 @@
 //! 7. `controller` — ns per adaptive-controller decision over a
 //!    scripted signal tape, and that cost as a fraction of the chunked
 //!    compress wall (`overhead_frac`, gated < 1% by bench_check.sh).
+//! 8. `sym_eig` — the K-FAC inverse kernel: median wall of one
+//!    `sym_eig` on K-FAC-shaped activation factors at n = 129 (a
+//!    128-wide layer plus its bias column) and n = 256, with the host
+//!    it ran on (cores, rustc, commit).
 //!
 //! Environment knobs: `COMPSO_BENCH_ELEMS` (default 4 Mi f32 = 16 MiB),
 //! `COMPSO_BENCH_REPS` (default 3; best-of-N is reported),
@@ -52,7 +56,9 @@ use compso_core::wire::{frame_checksummed, framed_len, unframe_checksummed};
 use compso_core::{ChunkedCompso, Compressor, Compso, CompsoConfig};
 use compso_ctrl::{ControlConfig, Controller, Signals};
 use compso_obs::Recorder;
-use compso_tensor::Rng;
+use compso_tensor::{sym_eig, Matrix, Rng};
+use std::hint::black_box;
+use std::process::Command;
 use std::time::Instant;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -272,6 +278,53 @@ fn gather_walls(
     (best(|t| t.0), best(|t| t.1))
 }
 
+/// Median wall (ms) of `sym_eig` over `reps` calls on a K-FAC-shaped
+/// `n×n` activation factor: `XᵀX / 2n` over `2n` post-ReLU samples, the
+/// last column the bias column of ones.
+fn sym_eig_ms(n: usize, reps: usize) -> f64 {
+    let samples = 2 * n;
+    let mut rng = Rng::new(n as u64);
+    let mut x = Matrix::random_normal(samples, n, &mut rng);
+    for r in 0..samples {
+        for c in 0..n {
+            let v = if c == n - 1 {
+                1.0
+            } else {
+                x.get(r, c).max(0.0)
+            };
+            x.set(r, c, v);
+        }
+    }
+    let mut factor = x.t_matmul(&x);
+    factor.scale(1.0 / samples as f32);
+    factor.symmetrize();
+    let mut walls: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(sym_eig(black_box(&factor)));
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    walls.sort_by(f64::total_cmp);
+    walls[walls.len() / 2]
+}
+
+/// First line of `cmd args` on stdout, or `unknown`.
+fn probe(cmd: &str, args: &[&str]) -> String {
+    Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| {
+            String::from_utf8_lossy(&o.stdout)
+                .lines()
+                .next()
+                .map(str::to_string)
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 fn main() {
     let elems = env_usize("COMPSO_BENCH_ELEMS", 4 << 20).max(1024);
     let reps = env_usize("COMPSO_BENCH_REPS", 3).max(1);
@@ -433,11 +486,34 @@ fn main() {
     }
     pipeline.push('}');
 
+    // The eigensolver: an odd rep count of at least 5 so the median is
+    // one measured call even in a single-rep smoke run.
+    let sym_eig_json = {
+        let eig_reps = (2 * reps + 1).max(5);
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let rustc = probe("rustc", &["--version"]);
+        let commit = probe("git", &["describe", "--always", "--dirty", "--abbrev=12"]);
+        let mut row = format!(
+            "{{\"host\": {{\"nproc\": {nproc}, \"rustc\": \"{rustc}\", \"commit\": \"{commit}\"}}, \
+             \"reps\": {eig_reps}"
+        );
+        for n in [129usize, 256] {
+            let ms = sym_eig_ms(n, eig_reps);
+            row.push_str(&format!(
+                ", \"n{n}_ms\": {ms:.3}, \"n{n}_per_s\": {:.2}",
+                1e3 / ms.max(1e-9)
+            ));
+        }
+        row.push('}');
+        row
+    };
+
     let json = format!(
         "{{\n  \"elems\": {elems},\n  \"bytes\": {bytes},\n  \"reps\": {reps},\n  \
          \"threads\": {threads},\n  \"serial\": {},\n  \"chunked_1thread\": {},\n  \
          \"chunked_nthread\": {},\n  \"ckpt\": {},\n  \"powersgd\": {},\n  \
          \"controller\": {controller},\n  \"pipeline\": {pipeline},\n  \
+         \"sym_eig\": {sym_eig_json},\n  \
          \"speedup_compress_chunked_vs_serial\": {:.2},\n  \
          \"speedup_decompress_chunked_vs_serial\": {:.2}\n}}\n",
         serial.json(),

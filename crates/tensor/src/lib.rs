@@ -2,8 +2,9 @@
 //!
 //! Dense linear-algebra substrate for the COMPSO reproduction: row-major
 //! `f32` matrices with cache-blocked, rayon-parallel matrix multiplication,
-//! a cyclic Jacobi symmetric eigensolver (the kernel K-FAC uses to invert
-//! its Kronecker factors), Cholesky factorization, hierarchical parallel
+//! a symmetric eigensolver (Householder tridiagonalization plus
+//! implicit-shift QL: the kernel K-FAC uses to invert its Kronecker
+//! factors), Cholesky factorization, hierarchical parallel
 //! reductions (the CPU analogue of CUDA block reduction + warp shuffle),
 //! a deterministic counter-seeded PRNG used for stochastic rounding, and
 //! histogram/statistics helpers used by the rounding-error analysis.

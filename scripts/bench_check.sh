@@ -13,6 +13,9 @@
 #   - pipeline.speedup_2w / speedup_4w      (pipelined vs serial gather;
 #     1w is legitimately ~1.0 — no wire to overlap — so it is not gated)
 #   - powersgd.compress_MBps                (low-rank encode throughput)
+#   - sym_eig.n129_per_s / n256_per_s       (K-FAC inverse eigensolves per
+#     second, median over reps; a fall back to cyclic-Jacobi speed lands
+#     3x (n=129) to 15x (n=256) below the floor)
 #   - controller.overhead_frac              (absolute gate: an adaptive
 #     decision must cost < 1% of the chunked compress wall)
 #
@@ -64,6 +67,16 @@ checks = [
         "powersgd.compress_MBps",
         smoke["powersgd"]["compress_MBps"],
         base["powersgd"]["compress_MBps"],
+    ),
+    (
+        "sym_eig.n129_per_s",
+        smoke["sym_eig"]["n129_per_s"],
+        base["sym_eig"]["n129_per_s"],
+    ),
+    (
+        "sym_eig.n256_per_s",
+        smoke["sym_eig"]["n256_per_s"],
+        base["sym_eig"]["n256_per_s"],
     ),
 ]
 
